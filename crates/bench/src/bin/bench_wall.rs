@@ -208,16 +208,16 @@ fn main() {
 
     // Batched-engine smoke row: the Ref slice widened to a same-config
     // multi-seed group (seeds 1–3 — the paper's best-of-3 shape), cold,
-    // through the lockstep batched engine. `--batch 9` makes each
-    // scheme's nine jobs (3 benches × 3 seeds) one batch: the BASE
-    // group's seeds collapse to one simulation per bench (deterministic
-    // schemes never read the seed — see `execute_batch`), the PAE group
-    // runs all nine lanes in lockstep. Per-lane results are
-    // bit-identical to the sequential rows by the engine's contract;
-    // the wall times track what batching buys on ONE worker, where
-    // lane dedupe and amortization — shared fast-forward, shared config
-    // and map, resident hot-loop state — are the only levers, not pool
-    // parallelism. Sequential and batched runs interleave and the
+    // through the lockstep batched engine. `run_sweep` first collapses
+    // the BASE seeds to one simulation per bench (deterministic schemes
+    // never read the seed — see `JobSpec::sim_identity`), on the
+    // sequential path as on the batched one; `--batch 9` then makes
+    // each scheme's remaining jobs one batch (3 BASE lanes, 9 PAE
+    // lanes). Per-lane results are bit-identical to the sequential rows
+    // by the engine's contract; the wall times track what batching buys
+    // on ONE worker, where amortization — shared fast-forward, shared
+    // config and map, resident hot-loop state — is the only lever, not
+    // pool parallelism. Sequential and batched runs interleave and the
     // medians are compared, so drift in machine load hits both
     // measurements evenly.
     const BATCH_ROUNDS: usize = 3;
@@ -266,14 +266,41 @@ fn main() {
             seq.spec
         );
     }
-    // Wall attribution sanity: every sequential job carries a measured
-    // wall, and no lockstep lane claims one — batched lanes get averaged
+    // Wall attribution sanity: the sequential sweep runs one job per
+    // distinct simulation and measures it, and clones the report to the
+    // other seeds of each seed-insensitive scheme at a zero wall; no
+    // lockstep lane claims a measured wall — batched lanes get averaged
     // shares of the batch wall (or a zero cloned share), never a
     // per-lane measurement, so the gate below must not fingerprint them.
-    assert!(
-        seq_cold.jobs.iter().all(|j| j.wall.is_measured()),
-        "a sequential job's wall is not flagged as measured"
+    let first_seed = seeds_spec.seeds[0];
+    let expected_clones = seeds_spec
+        .expand()
+        .iter()
+        .filter(|j| !j.scheme.is_randomized() && j.seed != first_seed)
+        .count();
+    for j in &seq_cold.jobs {
+        let clone = !j.spec.scheme.is_randomized() && j.spec.seed != first_seed;
+        let expected = if clone {
+            WallKind::Cloned
+        } else {
+            WallKind::Measured
+        };
+        assert_eq!(
+            j.wall, expected,
+            "{}: sequential wall attribution broken",
+            j.spec
+        );
+    }
+    assert_eq!(
+        seq_cold
+            .jobs
+            .iter()
+            .filter(|j| j.wall == WallKind::Cloned)
+            .count(),
+        expected_clones,
+        "sequential sweep cloned the wrong number of jobs"
     );
+    assert_eq!(seq_cold.simulated, seq_cold.jobs.len() - expected_clones);
     let averaged_lanes = bat_cold
         .jobs
         .iter()

@@ -632,6 +632,34 @@ mod tests {
         assert_eq!(a.bim(), c.bim());
     }
 
+    /// The harness runs one simulation per seed-insensitive scheme and
+    /// clones its report to the other seeds; that is only sound if the
+    /// seed never reaches the BIM. (Compare `bim()`, not the mapper:
+    /// the mapper records the seed it was asked for.)
+    #[test]
+    fn only_randomized_schemes_read_the_seed() {
+        let maps: [&dyn DramAddressMap; 2] = [&GddrMap::baseline(), &StackedMap::baseline()];
+        for map in maps {
+            for kind in SchemeKind::ALL_SCHEMES {
+                let bims: Vec<Bim> = (1..=3)
+                    .map(|seed| AddressMapper::build(kind, map, seed).bim().clone())
+                    .collect();
+                if kind.is_randomized() {
+                    for (i, a) in bims.iter().enumerate() {
+                        for b in &bims[i + 1..] {
+                            assert_ne!(a, b, "{kind:?}: two seeds built the same BIM");
+                        }
+                    }
+                } else {
+                    assert!(
+                        bims.iter().all(|b| *b == bims[0]),
+                        "{kind:?}: the BIM depends on the seed"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn schemes_build_for_stacked_map() {
         let sm = StackedMap::baseline();

@@ -86,7 +86,11 @@ sequential for every N — also settable via $VALLEY_SIM_THREADS).
 `--batch N` runs pending jobs that share a machine configuration through
 the lockstep batched engine, up to N simulations per batch (bit-identical
 per lane for every N — also settable via $VALLEY_SIM_BATCH; batch width
-is never part of a job key). `--max-shard-bytes N` auto-compacts the
+is never part of a job key). Jobs that differ only in the seed of a
+seed-insensitive scheme (BASE/PM/RMP) simulate once, here and under
+`serve`: the summary line counts jobs executed and the distinct
+simulations they took, and the copies are stored with a `cloned` 0 ms
+wall. `--max-shard-bytes N` auto-compacts the
 store at open when any shard
 file exceeds N bytes. `figures` reads the store only — run the matching
 sweep first. `gc` compacts the shards: duplicate keys left behind by
@@ -315,12 +319,13 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         .sum::<f64>()
         .max(0.0); // an empty sum can be -0.0, which formats as "-0"
     println!(
-        "sweep: {} jobs at scale {} — {} cache hit(s), {} executed ({:.1}% hit rate) \
-         in {:.2?} ({:.0} ms simulating)",
+        "sweep: {} jobs at scale {} — {} cache hit(s), {} executed as {} simulation(s) \
+         ({:.1}% hit rate) in {:.2?} ({:.0} ms simulating)",
         outcome.jobs.len(),
         scale,
         outcome.cache_hits,
         outcome.executed,
+        outcome.simulated,
         outcome.hit_rate() * 100.0,
         outcome.wall,
         executed_ms,
@@ -398,8 +403,9 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
     // Wall-attribution telemetry, straight from the records' `wall`
     // field: only measured walls are genuine per-job timings; averaged
     // walls are equal shares of a lockstep batch's wall, and cloned
-    // walls mark lanes served by an identical lane's simulation (batch
-    // width itself is pure scheduling and never part of a job key).
+    // walls mark seed-deduped jobs served by another job's simulation,
+    // batched or not (batch width itself is pure scheduling and never
+    // part of a job key).
     let mut averaged = 0usize;
     let mut cloned = 0usize;
     for e in &scan.records {
@@ -411,8 +417,8 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
     }
     if averaged + cloned > 0 {
         println!(
-            "\nbatched runs: {averaged} result(s) carry an averaged batch wall, \
-             {cloned} were cloned from an identical lane ({} of {} measured)",
+            "\nwall attribution: {averaged} result(s) carry an averaged batch wall, \
+             {cloned} were cloned from a seed-deduped twin ({} of {} measured)",
             scan.records.len() - averaged - cloned,
             scan.records.len()
         );

@@ -24,6 +24,16 @@
 //!   handled by the idempotent path above: zero results lost, zero
 //!   duplicated.
 //!
+//! ## Seed dedupe
+//!
+//! Jobs that are the same simulation ([`JobSpec::sim_identity`]: a
+//! seed-insensitive scheme swept over seeds) are leased once. Only the
+//! first job of each group in expansion order is queued; when it is
+//! `Done` its clones are completed with [`LaneOutcome::as_clone`] (the
+//! same report at a `cloned` 0 ms wall), and when it is declared dead
+//! they die with [`JobFailure::for_clone`]. Clones count in `executed`,
+//! like the jobs that ran.
+//!
 //! ## Determinism
 //!
 //! Fresh results are buffered and committed to the store **in grid
@@ -49,8 +59,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use valley_core::hash::FastMap;
-use valley_harness::{JobFailure, JobSpec, ResultStore, StoredResult, SweepSpec, WallKind};
-use valley_sim::SimReport;
+use valley_harness::{
+    sim_groups, JobFailure, JobSpec, LaneOutcome, ResultStore, StoredResult, SweepSpec,
+};
 
 /// Options controlling one serve run.
 #[derive(Clone, Debug)]
@@ -126,7 +137,7 @@ struct State {
     leases: BTreeMap<u64, LeaseEntry>,
     next_lease: u64,
     /// Fresh results awaiting the in-order commit cursor.
-    buffered: BTreeMap<usize, (SimReport, f64, WallKind)>,
+    buffered: BTreeMap<usize, LaneOutcome>,
     next_commit: usize,
     attempts: Vec<u32>,
     cache_hits: u64,
@@ -172,6 +183,9 @@ impl State {
 struct Shared<'a> {
     jobs: Vec<JobSpec>,
     index_of: FastMap<JobSpec, usize>,
+    /// Per job, the jobs that clone its report (empty unless it is the
+    /// leased representative of a seed-dedupe group).
+    clones: Vec<Vec<usize>>,
     state: Mutex<State>,
     store: &'a ResultStore,
     opts: &'a CoordOptions,
@@ -236,26 +250,41 @@ impl Coordinator {
         };
         // Resume: everything the store already holds is done before any
         // worker connects — the fabric never re-runs a stored job.
+        let mut missing = Vec::new();
         for (i, job) in jobs.iter().enumerate() {
             if store.get(job).is_some() {
                 state.status[i] = Slot::Done;
                 state.cache_hits += 1;
             } else {
+                missing.push(i);
+            }
+        }
+        // Seed dedupe: queue one representative per distinct simulation;
+        // the rest of its group completes with it.
+        let (group_of, reps) = sim_groups(missing.iter().map(|&i| &jobs[i]));
+        let mut clones = vec![Vec::new(); n];
+        for (k, &i) in missing.iter().enumerate() {
+            let rep = missing[reps[group_of[k]]];
+            if rep == i {
                 state.pending.push_back(i);
+            } else {
+                clones[rep].push(i);
             }
         }
         advance_commit(&mut state, &jobs, store);
         if opts.verbose {
             eprintln!(
-                "serve: {} job(s), {} cached, {} to lease",
+                "serve: {} job(s), {} cached, {} to lease for {} missing",
                 n,
                 state.cache_hits,
-                state.pending.len()
+                state.pending.len(),
+                missing.len()
             );
         }
         let shared = Shared {
             jobs,
             index_of,
+            clones,
             state: Mutex::new(state),
             store,
             opts,
@@ -313,8 +342,8 @@ fn advance_commit(state: &mut State, jobs: &[JobSpec], store: &ResultStore) {
         match state.status[i] {
             Slot::Dead => {}
             Slot::Done => {
-                if let Some((report, wall_ms, wall)) = state.buffered.remove(&i) {
-                    if let Err(e) = store.put(&jobs[i], &report, wall_ms, wall) {
+                if let Some(lane) = state.buffered.remove(&i) {
+                    if let Err(e) = store.put(&jobs[i], &lane.report, lane.wall_ms, lane.wall) {
                         let failure = JobFailure::store_write(jobs[i], e.to_string());
                         state.failures.push(FailureNote {
                             job: jobs[i].label(),
@@ -612,8 +641,8 @@ fn handle_request(shared: &Shared<'_>, conn: u64, worker: &str, capacity: u64) -
     }
 }
 
-/// Accepts a lease's results idempotently and advances the in-order
-/// store commit.
+/// Accepts a lease's results idempotently, completes each result's
+/// clones with the same report, and advances the in-order store commit.
 fn handle_done(shared: &Shared<'_>, worker: &str, lease: u64, results: Vec<StoredResult>) -> Msg {
     let mut state = shared.state.lock().expect("fabric state");
     let mut stored = 0u64;
@@ -632,8 +661,18 @@ fn handle_done(shared: &Shared<'_>, worker: &str, lease: u64, results: Vec<Store
         match state.status[i] {
             Slot::Done | Slot::Dead => duplicates += 1,
             _ => {
+                let lane = LaneOutcome {
+                    report: r.report,
+                    wall_ms: r.wall_ms,
+                    wall: r.wall,
+                };
+                for &c in &shared.clones[i] {
+                    state.status[c] = Slot::Done;
+                    state.buffered.insert(c, lane.as_clone());
+                    state.executed += 1;
+                }
                 state.status[i] = Slot::Done;
-                state.buffered.insert(i, (r.report, r.wall_ms, r.wall));
+                state.buffered.insert(i, lane);
                 state.executed += 1;
                 stored += 1;
                 state.workers.entry(worker.to_string()).or_insert((0, 0)).0 += 1;
@@ -660,7 +699,7 @@ fn handle_done(shared: &Shared<'_>, worker: &str, lease: u64, results: Vec<Store
 }
 
 /// Records a lease's structured failures and re-queues (or kills) the
-/// jobs.
+/// jobs; a killed job's clones die with it.
 fn handle_failed(shared: &Shared<'_>, worker: &str, lease: u64, failures: Vec<JobFailure>) -> Msg {
     let mut state = shared.state.lock().expect("fabric state");
     let entry = state.leases.remove(&lease);
@@ -682,7 +721,11 @@ fn handle_failed(shared: &Shared<'_>, worker: &str, lease: u64, failures: Vec<Jo
         state.attempts[i] += 1;
         if state.attempts[i] >= shared.opts.max_attempts {
             state.status[i] = Slot::Dead;
-            state.dead.push(failure);
+            state.dead.push(failure.clone());
+            for &c in &shared.clones[i] {
+                state.status[c] = Slot::Dead;
+                state.dead.push(failure.for_clone(shared.jobs[c]));
+            }
         } else {
             state.status[i] = Slot::Pending;
             state.pending.push_front(i);

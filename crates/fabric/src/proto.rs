@@ -84,7 +84,8 @@ pub struct WorkerStat {
     /// The worker's self-reported name (stable across reconnects).
     pub name: String,
     /// Jobs this worker completed (accepted results only; a duplicate
-    /// completion of an already-stored job does not count).
+    /// completion of an already-stored job does not count, nor do the
+    /// seed-deduped clones completed from its results).
     pub completed: u64,
     /// Structured failures this worker reported.
     pub failed: u64,
@@ -109,7 +110,8 @@ pub struct Telemetry {
     pub jobs_total: u64,
     /// Jobs already in the store when the coordinator started.
     pub cache_hits: u64,
-    /// Jobs completed by workers this serve (excludes cache hits).
+    /// Jobs completed this serve (excludes cache hits): those workers
+    /// ran plus the seed-deduped clones completed with them.
     pub executed: u64,
     /// Leases currently outstanding.
     pub active_leases: u64,

@@ -227,7 +227,8 @@ fn execute_lease(
             // Same attribution rule as the local batched sweep: the
             // executor measures what it can and flags the rest — lone
             // jobs are measured, lockstep lanes carry an averaged share
-            // of the batch wall, cloned lanes ~0.
+            // of the batch wall (clones never reach a worker: the
+            // coordinator completes them itself).
             summary.leases += 1;
             summary.completed += jobs.len() as u64;
             if opts.verbose {

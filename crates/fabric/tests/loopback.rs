@@ -468,3 +468,84 @@ fn deterministic_failure_dies_after_max_attempts() {
     assert_eq!(summary.telemetry.executed, 3);
     assert_eq!(store.len(), 3);
 }
+
+/// Seed dedupe: over seeds 1-3, BASE simulates once per bench. The
+/// coordinator leases only those simulations and completes the other
+/// seeds from them, and the store matches a local sweep's.
+#[test]
+fn multi_seed_grid_leases_each_simulation_once() {
+    let spec = grid().with_seeds(&[1, 2, 3]);
+
+    let local = TempStore::new("seeds-local");
+    let outcome = run_sweep(
+        &spec,
+        &local.open(),
+        &SweepOptions {
+            workers: Some(1),
+            batch: 1,
+            ..SweepOptions::default()
+        },
+    )
+    .expect("local sweep");
+    assert_eq!((outcome.executed, outcome.simulated), (12, 8));
+
+    let remote = TempStore::new("seeds-remote");
+    let store = remote.open();
+    let mut leases = 0;
+    let summary = serve_while(&spec, &store, &coord_opts(), |addr| {
+        leases = std::thread::scope(|s| {
+            let w1 = s.spawn(|| run_worker(addr, &quiet("w1")).expect("worker 1"));
+            let w2 = s.spawn(|| run_worker(addr, &quiet("w2")).expect("worker 2"));
+            [w1, w2]
+                .map(|w| w.join().expect("worker thread").leases)
+                .iter()
+                .sum::<u64>()
+        });
+    });
+    assert!(summary.complete(), "grid incomplete: {summary:?}");
+    assert_eq!(leases, 8, "one lease per distinct simulation");
+    assert_eq!(summary.telemetry.executed, 12);
+    assert_eq!(summary.telemetry.duplicates, 0);
+    assert_eq!(normalized_shards(&local.0), normalized_shards(&remote.0));
+    let cloned = store
+        .entries()
+        .into_iter()
+        .filter(|r| r.wall == WallKind::Cloned)
+        .inspect(|r| assert_eq!((r.spec.scheme, r.wall_ms), (SchemeKind::Base, 0.0)))
+        .count();
+    assert_eq!(cloned, 4);
+}
+
+/// A representative declared dead takes its clones with it: they are
+/// never leased, and the serve reports every one of them.
+#[test]
+fn dead_representative_kills_its_clones() {
+    let spec =
+        SweepSpec::new(&[Benchmark::Sp], &[SchemeKind::Base], Scale::Test).with_seeds(&[1, 2, 3]);
+    let tmp = TempStore::new("dead-clones");
+    let store = tmp.open();
+    let opts = CoordOptions {
+        max_attempts: 1,
+        ..coord_opts()
+    };
+    let summary = serve_while(&spec, &store, &opts, |addr| {
+        let mut flaky = RawPeer::connect(addr, "flaky");
+        let (lease, jobs) = flaky.lease(4);
+        assert_eq!(jobs.len(), 1, "a clone was leased: {jobs:?}");
+        let failures = vec![JobFailure::panic(jobs[0], "always crashes".to_string())];
+        match flaky.roundtrip(&Msg::Failed { lease, failures }) {
+            Msg::Ack { .. } => {}
+            other => panic!("expected an ack, got {other:?}"),
+        }
+        assert!(matches!(
+            flaky.roundtrip(&Msg::Request { capacity: 1 }),
+            Msg::Drained
+        ));
+    });
+    assert!(!summary.complete());
+    let dead: Vec<u64> = summary.dead.iter().map(|f| f.spec.seed).collect();
+    assert_eq!(dead, [1, 2, 3]);
+    assert!(summary.dead.iter().all(|f| f.message == "always crashes"));
+    assert_eq!(summary.telemetry.executed, 0);
+    assert_eq!(store.len(), 0);
+}

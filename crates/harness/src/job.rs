@@ -106,6 +106,25 @@ impl JobSpec {
         JobKey::of(self)
     }
 
+    /// The simulation this job runs: the spec with its seed set to 0
+    /// when the scheme never reads it. BASE/PM/RMP build one BIM for
+    /// every seed ([`SchemeKind::is_randomized`]), and the seed reaches
+    /// the simulator only through that construction, so two jobs with
+    /// equal identities produce bit-identical reports. This is the
+    /// harness's one definition of "same simulation": the sweep, the
+    /// batch engine and the fabric coordinator all run one job per
+    /// identity and clone its report to the rest.
+    pub fn sim_identity(&self) -> JobSpec {
+        JobSpec {
+            seed: if self.scheme.is_randomized() {
+                self.seed
+            } else {
+                0
+            },
+            ..*self
+        }
+    }
+
     /// Short human-readable label for progress lines.
     pub fn label(&self) -> String {
         format!(
@@ -244,6 +263,26 @@ impl SweepSpec {
     }
 }
 
+/// Groups jobs by [`JobSpec::sim_identity`]. Returns each job's group
+/// (by position in `specs`) and, per group, the position of its first
+/// member — the representative that runs — in order of first
+/// appearance. Every other member of a group is a clone of it.
+pub fn sim_groups<'a>(specs: impl IntoIterator<Item = &'a JobSpec>) -> (Vec<usize>, Vec<usize>) {
+    let mut seen: FastMap<JobSpec, usize> = FastMap::default();
+    let mut reps = Vec::new();
+    let group_of = specs
+        .into_iter()
+        .enumerate()
+        .map(|(pos, spec)| {
+            *seen.entry(spec.sim_identity()).or_insert_with(|| {
+                reps.push(pos);
+                reps.len() - 1
+            })
+        })
+        .collect();
+    (group_of, reps)
+}
+
 /// Runs one job to completion and returns its report. This is the only
 /// place the harness touches the simulator; everything above it deals in
 /// keys and stored results.
@@ -269,11 +308,12 @@ pub enum WallKind {
     /// The job executed alone and was timed directly.
     Measured,
     /// The job ran as one lane of a lockstep batch: the batch wall was
-    /// split evenly over the batch's *unique* simulations, so the value
-    /// is an attribution, not a measurement.
+    /// split evenly over the batch's lanes, so the value is an
+    /// attribution, not a measurement.
     Averaged,
-    /// The job's report was cloned from an identical lane (a
-    /// deterministic scheme swept over seeds); its marginal cost is ~0
+    /// The job's report was cloned from another job of the same
+    /// simulation ([`JobSpec::sim_identity`]: a deterministic scheme
+    /// swept over seeds), in a sweep or a fabric serve; it cost nothing
     /// and the stored value is 0.
     Cloned,
 }
@@ -319,6 +359,19 @@ pub struct LaneOutcome {
     pub wall: WallKind,
 }
 
+impl LaneOutcome {
+    /// The outcome of a job whose report is cloned from this one, its
+    /// [`JobSpec::sim_identity`] twin that ran: the same report at 0 ms,
+    /// flagged [`WallKind::Cloned`].
+    pub fn as_clone(&self) -> LaneOutcome {
+        LaneOutcome {
+            report: self.report.clone(),
+            wall_ms: 0.0,
+            wall: WallKind::Cloned,
+        }
+    }
+}
+
 /// Runs a batch of same-machine jobs through the lockstep batched
 /// engine ([`BatchSim`]) and returns their reports in `specs` order —
 /// each bit-identical to what [`execute_job`] would have produced for
@@ -335,18 +388,14 @@ pub fn execute_batch(specs: &[JobSpec]) -> Vec<SimReport> {
 
 /// [`execute_batch`] with per-lane wall attribution.
 ///
-/// Lanes that are the *same simulation* run once: BASE/PM/RMP build the
-/// same BIM for every seed (the seed is part of the job key because keys
-/// describe the request, but the deterministic schemes never read it),
-/// so a multi-seed sweep slice collapses those lanes to one and clones
-/// the report. This is where the batch engine wins big on multi-seed
-/// groups — N seeds of a deterministic scheme cost one simulation.
+/// Every lane is simulated, duplicates included: seed dedupe happens
+/// before a batch is formed ([`crate::run_sweep`] and the fabric
+/// coordinator hand out one job per [`JobSpec::sim_identity`]), so a
+/// repeated lane here is only simulated twice, never wrong.
 ///
 /// Wall attribution is honest about what the engine can and cannot
-/// measure: a lone job is [`WallKind::Measured`]; a collapsed group's
-/// one executed lane is `Measured` and its clones are
-/// [`WallKind::Cloned`] at ~0 cost; lockstep lanes interleave on one
-/// clock, so each unique simulation gets an equal share of the batch
+/// measure: a lone job is [`WallKind::Measured`]; lockstep lanes
+/// interleave on one clock, so each gets an equal share of the batch
 /// wall flagged [`WallKind::Averaged`]. The shares always sum to the
 /// measured batch wall.
 ///
@@ -367,49 +416,13 @@ pub fn execute_batch_timed(specs: &[JobSpec]) -> Vec<LaneOutcome> {
         specs.iter().all(|s| s.config == specs[0].config),
         "batched jobs must share a machine configuration"
     );
-    // Seed only reaches the simulation through the randomized schemes'
-    // BIM construction; two lanes agreeing on everything else are
-    // identical runs.
-    let identity = |s: &JobSpec| {
-        let effective_seed = if s.scheme.is_randomized() { s.seed } else { 0 };
-        (s.bench, s.scheme, effective_seed, s.scale, s.config)
-    };
-    let mut seen: FastMap<_, usize> = FastMap::default();
-    let mut unique: Vec<&JobSpec> = Vec::new();
-    let lane_of: Vec<usize> = specs
-        .iter()
-        .map(|s| {
-            *seen.entry(identity(s)).or_insert_with(|| {
-                unique.push(s);
-                unique.len() - 1
-            })
-        })
-        .collect();
-    if unique.len() == 1 {
-        let start = std::time::Instant::now();
-        let report = execute_job(unique[0]);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        return lane_of
-            .iter()
-            .enumerate()
-            .map(|(i, _)| LaneOutcome {
-                report: report.clone(),
-                wall_ms: if i == 0 { wall_ms } else { 0.0 },
-                wall: if i == 0 {
-                    WallKind::Measured
-                } else {
-                    WallKind::Cloned
-                },
-            })
-            .collect();
-    }
     let cfg = Arc::new(specs[0].config.gpu_config());
     let map: Arc<dyn DramAddressMap + Send + Sync> = if specs[0].config.is_stacked() {
         Arc::new(StackedMap::baseline())
     } else {
         Arc::new(GddrMap::baseline())
     };
-    let sims = unique
+    let sims = specs
         .iter()
         .map(|spec| {
             let mapper = AddressMapper::build(spec.scheme, &*map, spec.seed);
@@ -419,22 +432,13 @@ pub fn execute_batch_timed(specs: &[JobSpec]) -> Vec<LaneOutcome> {
         .collect();
     let start = std::time::Instant::now();
     let reports = BatchSim::new(sims).run();
-    let share_ms = start.elapsed().as_secs_f64() * 1e3 / unique.len() as f64;
-    let mut attributed: Vec<bool> = vec![false; unique.len()];
-    lane_of
+    let share_ms = start.elapsed().as_secs_f64() * 1e3 / specs.len() as f64;
+    reports
         .into_iter()
-        .map(|l| {
-            let first = !attributed[l];
-            attributed[l] = true;
-            LaneOutcome {
-                report: reports[l].clone(),
-                wall_ms: if first { share_ms } else { 0.0 },
-                wall: if first {
-                    WallKind::Averaged
-                } else {
-                    WallKind::Cloned
-                },
-            }
+        .map(|report| LaneOutcome {
+            report,
+            wall_ms: share_ms,
+            wall: WallKind::Averaged,
         })
         .collect()
 }

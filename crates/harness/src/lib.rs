@@ -50,8 +50,8 @@ mod sweep;
 pub mod util;
 
 pub use job::{
-    execute_batch, execute_batch_timed, execute_job, parse_scheme, ConfigId, JobKey, JobSpec,
-    LaneOutcome, SweepSpec, WallKind, DEFAULT_SEED, SCHEMA_VERSION,
+    execute_batch, execute_batch_timed, execute_job, parse_scheme, sim_groups, ConfigId, JobKey,
+    JobSpec, LaneOutcome, SweepSpec, WallKind, DEFAULT_SEED, SCHEMA_VERSION,
 };
 pub use store::{
     gc, scan, GcReport, ResultStore, StoreError, StoreOptions, StoreScan, StoredResult, NUM_SHARDS,

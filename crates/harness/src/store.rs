@@ -61,7 +61,7 @@ pub struct StoredResult {
     /// Wall time of the original execution, in milliseconds.
     pub wall_ms: f64,
     /// How `wall_ms` was obtained (measured alone, averaged over a
-    /// lockstep batch, or ~0 for a cloned duplicate lane).
+    /// lockstep batch, or 0 for a job cloned from its seed-dedupe twin).
     pub wall: WallKind,
 }
 

@@ -2,12 +2,17 @@
 //! already has, run the rest on the work-stealing pool, persist every
 //! fresh result, and hand back the full grid in deterministic order.
 
-use crate::job::{execute_batch_timed, execute_job, JobSpec, SweepSpec, WallKind};
+use crate::job::{
+    execute_batch_timed, execute_job, sim_groups, ConfigId, JobSpec, LaneOutcome, SweepSpec,
+    WallKind,
+};
 use crate::pool;
 use crate::store::{ResultStore, StoreError};
 use std::time::{Duration, Instant};
 use valley_core::hash::FastMap;
+use valley_core::SchemeKind;
 use valley_sim::{Batching, SimReport};
+use valley_workloads::Scale;
 
 /// Options controlling one sweep run.
 #[derive(Clone, Debug, Default)]
@@ -37,12 +42,15 @@ pub struct JobOutcome {
     pub spec: JobSpec,
     /// Its report (from the store or freshly computed).
     pub report: SimReport,
-    /// Wall time in milliseconds: the original execution time for cache
-    /// hits, this run's execution time for misses.
+    /// Wall time in milliseconds: the stored value for cache hits, this
+    /// run's execution time for misses (0 for a clone).
     pub wall_ms: f64,
     /// How `wall_ms` was obtained (see [`WallKind`]): a genuine per-job
-    /// measurement, an equal share of a lockstep batch's wall, or ~0 for
-    /// a lane cloned from an identical one.
+    /// measurement, an equal share of a lockstep batch's wall, or 0 for
+    /// a job whose report was cloned from the one job of its
+    /// [`JobSpec::sim_identity`] group that ran. Clones appear on every
+    /// path, batched or not, wherever a multi-seed sweep repeats a
+    /// seed-insensitive scheme.
     pub wall: WallKind,
     /// Whether the result came from the store.
     pub cached: bool,
@@ -56,8 +64,12 @@ pub struct SweepOutcome {
     pub jobs: Vec<JobOutcome>,
     /// Jobs served from the store.
     pub cache_hits: usize,
-    /// Jobs executed by this run.
+    /// Jobs this run produced (simulated or cloned from a simulated
+    /// twin); `cache_hits + executed` covers the whole grid.
     pub executed: usize,
+    /// Distinct simulations this run executed: one per
+    /// [`JobSpec::sim_identity`] among the executed jobs.
+    pub simulated: usize,
     /// Wall time of the whole sweep (lookup + execution + persistence).
     pub wall: Duration,
 }
@@ -148,6 +160,16 @@ impl JobFailure {
             message: message.into(),
         }
     }
+
+    /// The failure of `spec`, a clone of this failed job's simulation
+    /// ([`JobSpec::sim_identity`]): it never ran, so it fails the same
+    /// way.
+    pub fn for_clone(&self, spec: JobSpec) -> JobFailure {
+        JobFailure {
+            spec,
+            ..self.clone()
+        }
+    }
 }
 
 impl std::fmt::Display for JobFailure {
@@ -224,7 +246,10 @@ fn record_fresh(
 /// Runs a sweep against a store: cache hits are served without
 /// simulation, misses run in parallel with per-job panic isolation
 /// (per-batch when batching via [`SweepOptions::batch`]), and every
-/// fresh result is persisted before the function returns.
+/// fresh result is persisted before the function returns. Misses that
+/// are the same simulation ([`JobSpec::sim_identity`]) run once: the
+/// first in expansion order runs and the rest store its report as
+/// [`WallKind::Cloned`].
 pub fn run_sweep(
     spec: &SweepSpec,
     store: &ResultStore,
@@ -253,45 +278,51 @@ pub fn run_sweep(
     }
     let cache_hits = jobs.len() - todo.len();
 
-    // Phase 2: execute the misses on the work-stealing pool — one pool
-    // unit per job when unbatched, one per same-machine batch through
-    // the lockstep engine when batching is on. Phase 3 persists and
-    // assembles; failures are collected for a loud, full report (a
-    // suite with holes would silently skew every figure). A store write
-    // error becomes that job's failure rather than aborting the drain:
-    // the remaining computed results still get persisted and every
-    // failure is reported together.
+    // Phase 2: run one representative per distinct simulation
+    // ([`JobSpec::sim_identity`]) on the work-stealing pool — one pool
+    // unit per representative when unbatched, one per same-machine batch
+    // of representatives through the lockstep engine when batching is
+    // on. Phase 3 persists and assembles; failures are collected for a
+    // loud, full report (a suite with holes would silently skew every
+    // figure). A store write error becomes that job's failure rather
+    // than aborting the drain: the remaining computed results still get
+    // persisted and every failure is reported together.
+    let (group_of, reps) = sim_groups(todo.iter().map(|&i| &jobs[i]));
+    let rep_job = |g: usize| jobs[todo[reps[g]]];
     let width = if opts.batch == 0 {
         Batching::from_env().width()
     } else {
         opts.batch
     };
-    let mut failures = Vec::new();
-    if width <= 1 {
+    let results: Vec<Result<LaneOutcome, String>> = if width <= 1 {
         let workers = opts
             .workers
-            .unwrap_or_else(|| pool::default_workers(todo.len()));
+            .unwrap_or_else(|| pool::default_workers(reps.len()));
         if opts.verbose && !todo.is_empty() {
             eprintln!(
-                "sweep: {} jobs, {} cached, running {} on {} worker(s)",
+                "sweep: {} jobs, {} cached, running {} as {} simulation(s) on {} worker(s)",
                 jobs.len(),
                 cache_hits,
                 todo.len(),
-                workers.clamp(1, todo.len()),
+                reps.len(),
+                workers.clamp(1, reps.len()),
             );
         }
-        let results = pool::run_jobs(
-            todo.len(),
+        pool::run_jobs(
+            reps.len(),
             workers,
-            |k| {
-                let job = jobs[todo[k]];
+            |g| {
                 let t = Instant::now();
-                let report = execute_job(&job);
-                (report, t.elapsed())
+                let report = execute_job(&rep_job(g));
+                LaneOutcome {
+                    report,
+                    wall_ms: t.elapsed().as_secs_f64() * 1e3,
+                    wall: WallKind::Measured,
+                }
             },
             |done| {
                 if opts.verbose {
-                    let job = &jobs[todo[done.index]];
+                    let job = rep_job(done.index);
                     let stolen = if done.stolen { ", stolen" } else { "" };
                     match done.error {
                         None => eprintln!(
@@ -305,50 +336,23 @@ pub fn run_sweep(
                     }
                 }
             },
-        );
-        for (k, result) in results.into_iter().enumerate() {
-            let idx = todo[k];
-            match result {
-                Ok((report, elapsed)) => {
-                    let wall_ms = elapsed.as_secs_f64() * 1e3;
-                    record_fresh(
-                        store,
-                        opts,
-                        idx,
-                        report,
-                        wall_ms,
-                        WallKind::Measured,
-                        &jobs,
-                        &mut outcomes,
-                        &mut failures,
-                    );
-                }
-                Err(msg) => failures.push(JobFailure::panic(jobs[idx], msg)),
-            }
-        }
+        )
     } else {
-        // Group the pending jobs into same-machine batches: an
+        // Group the representatives into same-machine batches: an
         // order-preserving group-by on (config, scale, scheme), each
         // group chunked to at most `width` lanes. Benchmarks and seeds
         // may mix freely within a batch — only the clocks must agree,
         // and those are fixed by the config.
         let mut batches: Vec<Vec<usize>> = Vec::new();
-        let mut open: FastMap<
-            (
-                crate::job::ConfigId,
-                valley_workloads::Scale,
-                valley_core::SchemeKind,
-            ),
-            usize,
-        > = FastMap::default();
-        for &idx in &todo {
-            let job = &jobs[idx];
+        let mut open: FastMap<(ConfigId, Scale, SchemeKind), usize> = FastMap::default();
+        for g in 0..reps.len() {
+            let job = rep_job(g);
             let key = (job.config, job.scale, job.scheme);
             match open.get(&key) {
-                Some(&b) if batches[b].len() < width => batches[b].push(idx),
+                Some(&b) if batches[b].len() < width => batches[b].push(g),
                 _ => {
                     open.insert(key, batches.len());
-                    batches.push(vec![idx]);
+                    batches.push(vec![g]);
                 }
             }
         }
@@ -357,28 +361,30 @@ pub fn run_sweep(
             .unwrap_or_else(|| pool::default_workers(batches.len()));
         if opts.verbose && !todo.is_empty() {
             eprintln!(
-                "sweep: {} jobs, {} cached, running {} in {} batch(es) of <= {} on {} worker(s)",
+                "sweep: {} jobs, {} cached, running {} as {} simulation(s) in {} batch(es) \
+                 of <= {} on {} worker(s)",
                 jobs.len(),
                 cache_hits,
                 todo.len(),
+                reps.len(),
                 batches.len(),
                 width,
                 workers.clamp(1, batches.len()),
             );
         }
-        let results = pool::run_jobs(
+        let batch_results = pool::run_jobs(
             batches.len(),
             workers,
             |b| {
-                let specs: Vec<JobSpec> = batches[b].iter().map(|&i| jobs[i]).collect();
+                let specs: Vec<JobSpec> = batches[b].iter().map(|&g| rep_job(g)).collect();
                 // Wall attribution happens inside: the executor knows
-                // which lanes it measured, averaged or cloned.
+                // which lanes it measured or averaged.
                 execute_batch_timed(&specs)
             },
             |done| {
                 if opts.verbose {
                     let batch = &batches[done.index];
-                    let lead = &jobs[batch[0]];
+                    let lead = rep_job(batch[0]);
                     let stolen = if done.stolen { ", stolen" } else { "" };
                     match done.error {
                         None => eprintln!(
@@ -400,50 +406,76 @@ pub fn run_sweep(
                 }
             },
         );
-        for (b, result) in results.into_iter().enumerate() {
+        // A lane's individual wall is unobservable inside a lockstep
+        // batch; the executor attributes an equal share of the batch
+        // wall to each lane and flags it [`WallKind::Averaged`], so the
+        // stored record says what the number means. A batch shares one
+        // panic: every lane in it needs a re-run, so every lane reports
+        // the failure.
+        let mut results: Vec<Option<Result<LaneOutcome, String>>> = vec![None; reps.len()];
+        for (batch, result) in batches.iter().zip(batch_results) {
             match result {
                 Ok(lanes) => {
-                    // A lane's individual wall is unobservable inside a
-                    // lockstep batch; the executor attributes an equal
-                    // share of the batch wall to each *unique* lane and
-                    // flags it [`WallKind::Averaged`] (clones are ~0),
-                    // so the stored record says what the number means.
-                    for (&idx, lane) in batches[b].iter().zip(lanes) {
-                        record_fresh(
-                            store,
-                            opts,
-                            idx,
-                            lane.report,
-                            lane.wall_ms,
-                            lane.wall,
-                            &jobs,
-                            &mut outcomes,
-                            &mut failures,
-                        );
+                    for (&g, lane) in batch.iter().zip(lanes) {
+                        results[g] = Some(Ok(lane));
                     }
                 }
                 Err(msg) => {
-                    // The whole batch shares one panic: every lane in it
-                    // needs a re-run, so every lane reports the failure.
-                    for &idx in &batches[b] {
-                        failures.push(JobFailure::panic(jobs[idx], format!("batched lane: {msg}")));
+                    for &g in batch {
+                        results[g] = Some(Err(format!("batched lane: {msg}")));
                     }
                 }
             }
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every representative is in one batch"))
+            .collect()
+    };
+
+    // Phase 3, in expansion order: each representative keeps its own
+    // wall; every other job of its group is its clone (the same report
+    // at 0 ms, or the same failure).
+    let results: Vec<Result<LaneOutcome, JobFailure>> = results
+        .into_iter()
+        .enumerate()
+        .map(|(g, r)| r.map_err(|msg| JobFailure::panic(rep_job(g), msg)))
+        .collect();
+    let mut failures = Vec::new();
+    for (k, &idx) in todo.iter().enumerate() {
+        let g = group_of[k];
+        let rep = reps[g] == k;
+        match &results[g] {
+            Ok(lane) => {
+                let lane = if rep { lane.clone() } else { lane.as_clone() };
+                record_fresh(
+                    store,
+                    opts,
+                    idx,
+                    lane.report,
+                    lane.wall_ms,
+                    lane.wall,
+                    &jobs,
+                    &mut outcomes,
+                    &mut failures,
+                );
+            }
+            Err(failure) if rep => failures.push(failure.clone()),
+            Err(failure) => failures.push(failure.for_clone(jobs[idx])),
         }
     }
     if !failures.is_empty() {
         return Err(SweepError::Failures(failures));
     }
 
-    let executed = jobs.len() - cache_hits;
     Ok(SweepOutcome {
         jobs: outcomes
             .into_iter()
             .map(|o| o.expect("every non-failed job has an outcome"))
             .collect(),
         cache_hits,
-        executed,
+        executed: todo.len(),
+        simulated: reps.len(),
         wall: start.elapsed(),
     })
 }

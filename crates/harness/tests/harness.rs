@@ -4,7 +4,8 @@
 
 use valley_core::SchemeKind;
 use valley_harness::{
-    run_sweep, ConfigId, JobSpec, ResultStore, StoreOptions, SweepOptions, SweepSpec, DEFAULT_SEED,
+    run_sweep, ConfigId, FailureKind, JobSpec, ResultStore, StoreOptions, SweepError, SweepOptions,
+    SweepSpec, WallKind, DEFAULT_SEED,
 };
 use valley_workloads::{Benchmark, Scale};
 
@@ -174,6 +175,77 @@ fn batched_sweep_matches_sequential_results_and_store_state() {
     .unwrap();
     assert_eq!(resumed.cache_hits, sequential.jobs.len());
     assert_eq!(resumed.executed, 0);
+}
+
+/// Seed dedupe: BASE ignores the BIM seed, so a multi-seed sweep runs
+/// it once per bench and stores the report under every seed's key as a
+/// 0 ms clone — on the unbatched and the batched path alike.
+#[test]
+fn seed_insensitive_jobs_simulate_once_per_bench() {
+    let spec = small_spec().with_seeds(&[1, 2, 3]);
+    for batch in [1, 4] {
+        let tmp = TempStore::new(&format!("dedupe-{batch}"));
+        let store = tmp.open();
+        let opts = SweepOptions {
+            batch,
+            ..Default::default()
+        };
+        let cold = run_sweep(&spec, &store, &opts).unwrap();
+        assert_eq!(cold.jobs.len(), 12);
+        assert_eq!(cold.executed, 12, "batch {batch}");
+        assert_eq!(cold.simulated, 8, "batch {batch}");
+        for job in &cold.jobs {
+            let seed_1 = JobSpec {
+                seed: 1,
+                ..job.spec
+            };
+            let twin = cold.jobs.iter().find(|j| j.spec == seed_1).unwrap();
+            if job.spec.scheme == SchemeKind::Base && job.spec.seed > 1 {
+                assert_eq!(job.wall, WallKind::Cloned, "{}", job.spec);
+                assert_eq!(job.wall_ms, 0.0, "{}", job.spec);
+                assert_eq!(job.report, twin.report, "{}", job.spec);
+            } else {
+                assert_ne!(job.wall, WallKind::Cloned, "{}", job.spec);
+                if batch == 1 {
+                    assert_eq!(job.wall, WallKind::Measured, "{}", job.spec);
+                }
+            }
+        }
+        drop(store);
+        let warm = run_sweep(&spec, &tmp.open(), &opts).unwrap();
+        assert_eq!(warm.cache_hits, 12, "batch {batch}");
+        assert_eq!((warm.executed, warm.simulated), (0, 0), "batch {batch}");
+        for (c, w) in cold.jobs.iter().zip(&warm.jobs) {
+            assert!(w.cached);
+            assert_eq!((c.spec, c.wall, c.wall_ms), (w.spec, w.wall, w.wall_ms));
+            assert_eq!(c.report, w.report, "{}", c.spec);
+        }
+    }
+}
+
+/// A representative that panics takes its clones down with it: every
+/// job of the group is reported, so a re-run retries all of them.
+#[test]
+fn a_panicking_representative_fails_its_clones() {
+    let tmp = TempStore::new("dedupe-panic");
+    let store = tmp.open();
+    // Zero SMs is rejected when the machine is built, inside the job.
+    let spec = SweepSpec::new(&[Benchmark::Sp], &[SchemeKind::Base], Scale::Test)
+        .with_seeds(&[1, 2, 3])
+        .with_configs(&[ConfigId::Sms(0)]);
+    for batch in [1, 4] {
+        let opts = SweepOptions {
+            batch,
+            ..Default::default()
+        };
+        let Err(SweepError::Failures(failures)) = run_sweep(&spec, &store, &opts) else {
+            panic!("a zero-SM sweep succeeded");
+        };
+        let failed: Vec<u64> = failures.iter().map(|f| f.spec.seed).collect();
+        assert_eq!(failed, [1, 2, 3], "batch {batch}");
+        assert!(failures.iter().all(|f| f.kind == FailureKind::Panic));
+        assert_eq!(store.len(), 0);
+    }
 }
 
 #[test]

@@ -164,11 +164,19 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. Stored records and
+/// fabric frames nest a handful of levels; the cap keeps a hostile line
+/// of brackets from recursing the parser off the end of its stack,
+/// which aborts the process where no `catch_unwind` can help.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document; trailing non-whitespace is an error, and
+/// so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -182,6 +190,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -226,12 +236,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -452,6 +475,21 @@ mod tests {
         assert!(parse("\"\u{1}\"").is_err());
         let e = parse("[true,?]").unwrap_err();
         assert!(e.to_string().contains("byte 6"), "{e}");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_an_abort() {
+        let brackets = "[".repeat(1_000_000);
+        let e = parse(&brackets).unwrap_err();
+        assert!(e.msg.contains("nesting"), "{e}");
+        let members = "{\"a\":".repeat(1_000_000);
+        let e = parse(&members).unwrap_err();
+        assert!(e.msg.contains("nesting"), "{e}");
+        // The cap itself is still accepted.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
     }
 
     #[test]
